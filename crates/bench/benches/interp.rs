@@ -70,15 +70,7 @@ fn time_engine(build: &KernelBuild, cfg: &MachineConfig, engine: ExecEngine) -> 
     let mut stats = SimStats::default();
     for _ in 0..REPS {
         let mut m = Machine::new(MachineConfig { engine, ..cfg.clone() });
-        for (addr, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*addr, bytes).expect("init in bounds");
-        }
-        for (r, v) in &build.setup.reg_init {
-            m.regs.write_gp(*r, *v);
-        }
-        for (r, v) in &build.setup.mm_init {
-            m.regs.write_mm(*r, *v);
-        }
+        build.setup.apply(&mut m).expect("init in bounds");
         let t = Instant::now();
         stats = m.run(&build.program).expect("kernel runs");
         best = best.min(t.elapsed().as_nanos() as u64);

@@ -293,13 +293,13 @@ impl CyclesBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_sweep, SweepConfig};
+    use crate::sweep::{run_sweep_with_store, CompileCache, SweepConfig};
     use subword_spu::SHAPE_A;
 
     fn small_report() -> SweepReport {
         let mut cfg = SweepConfig::pixel(&[SHAPE_A]);
         cfg.entries.truncate(2); // SAD + YUV
-        run_sweep(&cfg).unwrap().report
+        run_sweep_with_store(&cfg, &CompileCache::new(), None).unwrap().report
     }
 
     #[test]

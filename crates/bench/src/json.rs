@@ -332,11 +332,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Decode the whole run of plain bytes up to the next
+                // quote or escape at once: both are ASCII, so they never
+                // split a UTF-8 sequence, and each byte is checked once
+                // (linear, not a re-validation of the remaining buffer
+                // per character).
+                let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                let end = run.map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|_| "invalid UTF-8")?);
+                *pos = end;
             }
         }
     }
@@ -415,5 +419,19 @@ mod tests {
         assert_eq!(Json::parse("\"\\ud83d\\ude00\"").unwrap(), Json::Str("😀".into()));
         assert!(Json::parse("\"\\ud83d\"").is_err());
         assert!(Json::parse("\"\\ud83d\\u0041\"").is_err());
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // A per-character re-validation of the remaining buffer takes
+        // tens of seconds on a 1 MiB string; a linear decode takes
+        // milliseconds even unoptimized.
+        let text = "x".repeat(1 << 20);
+        let doc = format!("[\"{text}\", \"tail é\\n\"]");
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Json::Arr(vec![Json::Str(text), Json::Str("tail é\n".into())]));
+        assert!(elapsed < std::time::Duration::from_secs(2), "1 MiB string took {elapsed:?}");
     }
 }

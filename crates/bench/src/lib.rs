@@ -1,17 +1,22 @@
 //! # subword-bench
 //!
 //! Harnesses regenerating every table and figure of the paper's
-//! evaluation:
+//! evaluation. Two binaries:
 //!
-//! | binary            | reproduces |
-//! |-------------------|------------|
-//! | `figure9`         | Figure 9 — cycles on MMX vs MMX+SPU per kernel |
-//! | `table1`          | Table 1 — crossbar area/delay + control memory, plus the §5.1 die-overhead claim |
-//! | `table2`          | Table 2 — branch statistics |
-//! | `table3`          | Table 3 — permutations off-loaded through decoupled control |
-//! | `ablation_shapes` | §6 discussion — per-kernel minimal crossbar shape and cost/benefit across shapes A–D |
-//! | `sweep`           | the full kernel × shape matrix as a JSON [`sweep::SweepReport`] |
-//! | `all`             | everything above in sequence |
+//! | binary  | produces |
+//! |---------|----------|
+//! | `paper` | the paper's tables and figures as text — every view below, or the ones named as arguments (`paper figure9 table3`) |
+//! | `sweep` | the full kernel × shape matrix as a JSON [`sweep::SweepReport`], gated against the committed cycles baseline |
+//!
+//! | `paper` view  | reproduces |
+//! |---------------|------------|
+//! | `table1`      | Table 1 — crossbar area/delay + control memory, plus the §5.1 die-overhead claim |
+//! | `figure9`     | Figure 9 — cycles on MMX vs MMX+SPU per kernel |
+//! | `table2`      | Table 2 — branch statistics, plus the +1-cycle mispredict-penalty check |
+//! | `table3`      | Table 3 — permutations off-loaded through decoupled control |
+//! | `ablation`    | §6 discussion — per-kernel cost/benefit across shapes A–D |
+//! | `energy`      | extension — per-kernel energy on MMX vs MMX+SPU |
+//! | `sensitivity` | extension — SPU savings under varied machine parameters |
 //!
 //! Measured values print alongside the published ones. Absolute
 //! magnitudes are also shown re-scaled to the paper's ~10^10-clock runs
@@ -19,45 +24,22 @@
 //! simulator executes a handful of blocks exactly and scales — see
 //! DESIGN.md §2).
 //!
-//! All batch measurement traffic flows through the [`sweep`]
-//! orchestration layer (DESIGN.md §4): a parallel job matrix over
-//! kernel × crossbar shape × block count with a shared compiled-program
-//! cache. ([`run_entry`] remains as an uncached one-off probe.) On top
-//! of that sits the persistent, content-addressed [`store`] (DESIGN.md
-//! §13): with `sweep --cache-dir`, cells whose inputs are unchanged are
-//! replayed from disk instead of re-simulated.
+//! All measurement traffic flows through the [`sweep`] orchestration
+//! layer (DESIGN.md §4): a parallel job matrix over kernel × crossbar
+//! shape × block count with a shared compiled-program cache. The
+//! [`report`] views behind `paper` are functions of its reports. On top
+//! of the sweep sits the persistent, content-addressed [`store`]
+//! (DESIGN.md §13): with `sweep --cache-dir`, cells whose inputs are
+//! unchanged are replayed from disk instead of re-simulated.
 
 pub mod baseline;
 pub mod json;
+pub mod report;
 pub mod store;
 pub mod sweep;
 
-use subword_kernels::framework::Measurement;
-use subword_kernels::suite::SuiteEntry;
-use subword_spu::crossbar::CrossbarShape;
-
 pub use store::{cell_key, CellKey, MeasurementStore, StoreStats, PIPELINE_VERSION};
-pub use sweep::{
-    run_sweep, run_sweep_with_cache, run_sweep_with_store, CompileCache, SweepConfig, SweepReport,
-    SweepRun,
-};
-
-/// Run the whole Figure 9 suite under one shape — a single-shape
-/// [`run_sweep`] pass (parallel over kernels, compilation cached across
-/// block counts).
-pub fn run_suite(shape: &CrossbarShape) -> Vec<Measurement> {
-    let run = run_sweep(&SweepConfig::paper(std::slice::from_ref(shape)))
-        .unwrap_or_else(|e| panic!("suite sweep: {e}"));
-    run.measurements.into_iter().map(|m| m.measurement).collect()
-}
-
-/// Measure one suite entry directly — a fresh, uncached lift and run.
-/// One-off probes only: batch work belongs in [`run_sweep`], which
-/// shares compiled artifacts across block counts, scales and shapes.
-pub fn run_entry(e: &SuiteEntry, shape: &CrossbarShape) -> Measurement {
-    subword_kernels::framework::measure(e.kernel, e.blocks_small, e.blocks_large, shape)
-        .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()))
-}
+pub use sweep::{run_sweep_with_store, CompileCache, SweepConfig, SweepReport, SweepRun};
 
 /// Format a float in the paper's `1.51E+10` scientific style.
 pub fn sci(v: f64) -> String {
@@ -114,16 +96,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_entry_measures_a_kernel() {
-        let e = subword_kernels::suite::dotprod_example();
-        let m = run_entry(&e, &subword_spu::SHAPE_A);
-        assert!(m.baseline.per_block.cycles > 0);
-        assert!(m.spu.per_block.cycles > 0);
-        assert!(m.offloaded_per_block() > 0);
-        assert!(m.speedup() > 1.0);
-    }
 
     #[test]
     fn sci_matches_paper_style() {

@@ -12,19 +12,21 @@
 //!
 //! * [`SweepConfig`] names the kernels, shapes, block scales and machine
 //!   parameters to cover;
-//! * [`run_sweep`] executes the matrix on a dynamic worker pool: jobs are
-//!   pulled from a shared queue by `min(jobs, cores)` workers, so a slow
-//!   kernel (FFT1024) never serializes the rest of the matrix behind it
-//!   (rayon would be the off-the-shelf choice here; the build container
-//!   has no network access, so the pool is ~40 lines of `std::thread` —
-//!   see DESIGN.md §4);
-//! * every job draws its lifted programs from a shared [`CompileCache`],
-//!   so chain extraction and refinement run **exactly once per (kernel,
-//!   shape)** — both block-count variants and every additional scale
-//!   replay the cached [`subword_compile::CompiledKernel`] artifact;
+//! * [`run_sweep_with_store`] executes the matrix on a dynamic worker
+//!   pool: jobs are pulled from a shared queue by `min(jobs, cores)`
+//!   workers, so a slow kernel (FFT1024) never serializes the rest of
+//!   the matrix behind it (rayon would be the off-the-shelf choice here;
+//!   the build container has no network access, so the pool is ~40
+//!   lines of `std::thread` — see DESIGN.md §4);
+//! * every job draws its lifted programs from a caller-owned
+//!   [`CompileCache`], so chain extraction and refinement run **exactly
+//!   once per (kernel, shape)** — both block-count variants, every
+//!   additional scale and every later sweep holding the same cache
+//!   replay the cached [`subword_compile::CompiledKernel`] artifact
+//!   (compilation is machine-config independent);
 //! * results land in a [`SweepReport`] — a plain-data, JSON-serializable
-//!   table of [`MeasurementRecord`]s — which the `figure9`,
-//!   `ablation_shapes`, `sensitivity` and `sweep` binaries all consume
+//!   table of [`MeasurementRecord`]s — which the `sweep` binary and the
+//!   [`crate::report`] views behind the `paper` binary all consume
 //!   instead of re-implementing measurement loops.
 
 use crate::json::Json;
@@ -35,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use subword_compile::{analyze_with_result, CompiledKernel, TransformResult};
 use subword_isa::program::Program;
 use subword_kernels::framework::{
-    measure_with_config_opts, Cached, HostNanos, Measurement, MeasurementRecord,
+    measure, Cached, HostNanos, MeasureOpts, Measurement, MeasurementRecord,
 };
 use subword_kernels::suite::{all_suites, dotprod_example, family_suite, Family, SuiteEntry};
 use subword_sim::{MachineConfig, SimStats};
@@ -332,7 +334,7 @@ impl PartialEq for SweepReport {
     }
 }
 
-/// The full result of [`run_sweep`].
+/// The full result of [`run_sweep_with_store`].
 pub struct SweepRun {
     /// Serializable report.
     pub report: SweepReport,
@@ -348,12 +350,6 @@ pub struct SweepRun {
     pub store: StoreStats,
 }
 
-/// Execute the job matrix. See the module docs for the orchestration
-/// model; errors carry the failing (kernel, shape) context.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepRun, String> {
-    run_sweep_with_cache(cfg, &CompileCache::new())
-}
-
 /// Best-effort text of a caught panic payload (`panic!` hands us a
 /// `&str` or a `String`; anything else is opaque).
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -364,15 +360,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// [`run_sweep`] against a caller-owned [`CompileCache`], so several
-/// sweeps over the same kernels — e.g. the sensitivity study's one run
-/// per machine configuration — share compiled artifacts (compilation is
-/// machine-config independent). The report's [`CacheStats`] are the
-/// cache's **cumulative** counters.
-pub fn run_sweep_with_cache(cfg: &SweepConfig, cache: &CompileCache) -> Result<SweepRun, String> {
-    run_sweep_with_store(cfg, cache, None)
-}
-
 /// One finished job: the serializable cell, plus the in-memory
 /// measurement when the cell was simulated rather than replayed.
 struct CellOutcome {
@@ -380,10 +367,16 @@ struct CellOutcome {
     fresh: Option<SweepMeasurement>,
 }
 
-/// The cache-aware sweep: [`run_sweep_with_cache`] plus an optional
-/// cross-run [`MeasurementStore`].
+/// Execute the job matrix. See the module docs for the orchestration
+/// model; errors carry the failing (kernel, shape) context.
 ///
-/// With a store attached, every job first derives its content hash
+/// `cache` is caller-owned so several sweeps over the same kernels —
+/// e.g. the sensitivity study's one run per machine configuration —
+/// share compiled artifacts; the report's [`CacheStats`] are the
+/// cache's **cumulative** counters.
+///
+/// `store` is an optional cross-run [`MeasurementStore`]. With one
+/// attached, every job first derives its content hash
 /// ([`crate::store::cell_key`] over the built kernel bodies, shape,
 /// machine config, scale and variant set, salted with
 /// [`crate::store::PIPELINE_VERSION`]) and probes the store. A valid
@@ -451,14 +444,17 @@ pub fn run_sweep_with_store(
                                 return Ok(CellOutcome { cell, fresh: None });
                             }
                         }
-                        let measurement = measure_with_config_opts(
+                        let opts = MeasureOpts {
+                            base: cfg.base.clone(),
+                            lift: Some(&lift),
+                            scheduled: cfg.measure_scheduled,
+                        };
+                        let measurement = measure(
                             entry.kernel,
                             entry.blocks_small * scale,
                             entry.blocks_large * scale,
                             &shape,
-                            &cfg.base,
-                            &lift,
-                            cfg.measure_scheduled,
+                            &opts,
                         )?;
                         let fresh = SweepMeasurement { kernel: key, shape, scale, measurement };
                         let cell = SweepCell {

@@ -2,14 +2,19 @@
 //! program cache must be invisible to results, the job matrix must equal
 //! independent per-shape suite runs, and reports must survive JSON.
 
-use subword_bench::run_suite;
 use subword_bench::sweep::{
-    run_sweep, run_sweep_with_cache, CacheStats, CompileCache, SweepConfig, SweepReport,
+    run_sweep_with_store, CacheStats, CompileCache, SweepConfig, SweepReport, SweepRun,
 };
-use subword_kernels::framework::{measure, measure_with, Kernel, KernelBuild};
+use subword_isa::program::Program;
+use subword_kernels::framework::{measure, Kernel, KernelBuild, MeasureOpts};
 use subword_kernels::suite::{dotprod_example, paper_suite, Family, SuiteEntry};
-use subword_spu::crossbar::CANONICAL_SHAPES;
+use subword_spu::crossbar::{CrossbarShape, CANONICAL_SHAPES};
 use subword_spu::{SHAPE_A, SHAPE_D};
+
+/// A storeless sweep on a fresh compile cache.
+fn fresh_sweep(cfg: &SweepConfig) -> Result<SweepRun, String> {
+    run_sweep_with_store(cfg, &CompileCache::new(), None)
+}
 
 /// (a) Cached vs uncached compilation yields identical `Measurement`s —
 /// the whole `Measurement`, per-loop compile reports included.
@@ -20,28 +25,19 @@ fn cached_compilation_is_invisible_to_measurements() {
     for shape in [SHAPE_A, SHAPE_D] {
         let cache = CompileCache::new();
         for e in &entries {
-            let uncached = measure(e.kernel, e.blocks_small, e.blocks_large, &shape).unwrap();
+            let uncached =
+                measure(e.kernel, e.blocks_small, e.blocks_large, &shape, &MeasureOpts::default())
+                    .unwrap();
             let key = e.kernel.name();
-            let cached = measure_with(
-                e.kernel,
-                e.blocks_small,
-                e.blocks_large,
-                &shape,
-                &|program, shape| cache.lift(key, program, shape),
-            )
-            .unwrap();
+            let lift = |program: &Program, shape: &CrossbarShape| cache.lift(key, program, shape);
+            let opts = MeasureOpts { lift: Some(&lift), ..MeasureOpts::default() };
+            let cached = measure(e.kernel, e.blocks_small, e.blocks_large, &shape, &opts).unwrap();
             assert_eq!(uncached, cached, "{key} under shape {}", shape.name);
 
             // And a *second* cached measurement (all artifact replays,
             // zero fresh analyses) still agrees.
-            let replayed = measure_with(
-                e.kernel,
-                e.blocks_small,
-                e.blocks_large,
-                &shape,
-                &|program, shape| cache.lift(key, program, shape),
-            )
-            .unwrap();
+            let replayed =
+                measure(e.kernel, e.blocks_small, e.blocks_large, &shape, &opts).unwrap();
             assert_eq!(uncached, replayed, "{key} replay under shape {}", shape.name);
         }
         let stats = cache.stats();
@@ -53,11 +49,11 @@ fn cached_compilation_is_invisible_to_measurements() {
     }
 }
 
-/// (b) One 4-shape sweep equals four independent `run_suite` calls, and
-/// compiles exactly once per (kernel, shape).
+/// (b) One 4-shape sweep equals four single-shape sweeps, each on its
+/// own compile cache, and compiles exactly once per (kernel, shape).
 #[test]
 fn four_shape_sweep_equals_independent_suite_runs() {
-    let run = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES)).unwrap();
+    let run = fresh_sweep(&SweepConfig::paper(&CANONICAL_SHAPES)).unwrap();
     let kernels = paper_suite().len();
 
     assert_eq!(run.report.cells.len(), kernels * CANONICAL_SHAPES.len());
@@ -72,13 +68,13 @@ fn four_shape_sweep_equals_independent_suite_runs() {
     );
 
     for shape in CANONICAL_SHAPES {
-        let suite = run_suite(&shape);
+        let single = fresh_sweep(&SweepConfig::paper(&[shape])).unwrap();
         let swept = run.report.for_shape(shape.name);
-        assert_eq!(suite.len(), swept.len());
-        for (independent, cell) in suite.iter().zip(swept) {
-            assert_eq!(independent.name, cell.kernel());
+        assert_eq!(single.measurements.len(), swept.len());
+        for (independent, cell) in single.measurements.iter().zip(swept) {
+            assert_eq!(independent.kernel, cell.kernel());
             assert_eq!(
-                independent.record(),
+                independent.measurement.record(),
                 cell.record,
                 "{} under shape {}",
                 cell.kernel(),
@@ -94,7 +90,7 @@ fn sweep_report_round_trips_through_json() {
     let mut cfg = SweepConfig::full(&[SHAPE_A, SHAPE_D]);
     cfg.entries.truncate(3);
     cfg.block_scales = vec![1, 2];
-    let run = run_sweep(&cfg).unwrap();
+    let run = fresh_sweep(&cfg).unwrap();
 
     let json = run.report.to_json();
     let parsed = SweepReport::from_json(&json).unwrap();
@@ -183,7 +179,7 @@ fn family_selection_and_family_column() {
     // and the column round-trips.
     let mut cfg = pixel;
     cfg.entries.retain(|e| e.kernel.name() == "Blend" || e.kernel.name() == "YUV2RGB");
-    let run = run_sweep(&cfg).unwrap();
+    let run = fresh_sweep(&cfg).unwrap();
     for c in &run.report.cells {
         assert_eq!(c.record.family, Family::Pixel, "{}", c.record.kernel);
     }
@@ -227,7 +223,7 @@ fn a_panicking_kernel_costs_one_cell_not_the_pool() {
     cfg.threads = Some(1);
 
     let cache = CompileCache::new();
-    let Err(err) = run_sweep_with_cache(&cfg, &cache) else {
+    let Err(err) = run_sweep_with_store(&cfg, &cache, None) else {
         panic!("a panicking cell must surface as a sweep error");
     };
     assert!(err.contains("Panicker/shape A"), "error must name the failing cell: {err}");
@@ -244,7 +240,7 @@ fn a_panicking_kernel_costs_one_cell_not_the_pool() {
 /// kernels, and the new columns survive the JSON round trip.
 #[test]
 fn scheduled_columns_hold_the_orchestration_claims() {
-    let run = run_sweep(&SweepConfig::full(&[SHAPE_A])).unwrap();
+    let run = fresh_sweep(&SweepConfig::full(&[SHAPE_A])).unwrap();
     let report = &run.report;
 
     // The shared contract (also gated by the sweep binary and CI): no

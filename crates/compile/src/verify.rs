@@ -20,9 +20,13 @@ pub struct TestSetup {
 }
 
 impl TestSetup {
-    fn apply(&self, m: &mut Machine) {
+    /// Load the initial memory images and registers into `m`. Fails on
+    /// a memory image that does not fit the machine's memory.
+    pub fn apply(&self, m: &mut Machine) -> Result<(), String> {
         for (addr, bytes) in &self.mem_init {
-            m.mem.write_bytes(*addr, bytes).expect("mem_init in range");
+            m.mem
+                .write_bytes(*addr, bytes)
+                .map_err(|_| format!("mem_init at {addr:#x} out of range"))?;
         }
         for (r, v) in &self.reg_init {
             m.regs.write_gp(*r, *v);
@@ -30,6 +34,7 @@ impl TestSetup {
         for (r, v) in &self.mm_init {
             m.regs.write_mm(*r, *v);
         }
+        Ok(())
     }
 }
 
@@ -68,11 +73,11 @@ pub fn differential(
     setup: &TestSetup,
 ) -> Result<DiffStats, String> {
     let mut m0 = Machine::new(MachineConfig::mmx_only());
-    setup.apply(&mut m0);
+    setup.apply(&mut m0)?;
     let s0 = m0.run(baseline).map_err(|e| format!("baseline fault: {e}"))?;
 
     let mut m1 = Machine::new(MachineConfig::with_spu(*shape));
-    setup.apply(&mut m1);
+    setup.apply(&mut m1)?;
     let s1 = m1.run(transformed).map_err(|e| format!("transformed fault: {e}"))?;
 
     for (addr, len) in &setup.outputs {

@@ -15,13 +15,35 @@ use subword_isa::program::Program;
 use subword_sim::{Machine, MachineConfig, SimStats};
 use subword_spu::crossbar::CrossbarShape;
 
-/// Hook producing the MMX+SPU variant of a program for [`measure_with`]:
+/// Hook producing the MMX+SPU variant of a program for [`measure`]:
 /// given the MMX-only program and the target crossbar shape, return the
-/// lifted result. The default ([`measure`]) runs a fresh
-/// [`lift_permutes`]; the sweep harness plugs in a compiled-program cache
-/// that replays a [`subword_compile::CompiledKernel`] instead.
+/// lifted result. Without one ([`MeasureOpts::lift`] = `None`) each
+/// measurement runs a fresh [`lift_permutes`]; the sweep harness plugs
+/// in a compiled-program cache that replays a
+/// [`subword_compile::CompiledKernel`] instead.
 pub type LiftFn<'a> =
     &'a (dyn Fn(&Program, &CrossbarShape) -> Result<TransformResult, String> + Sync);
+
+/// How [`measure`] runs a kernel. The default is the paper-faithful
+/// one-off probe: the default machine, a fresh lifting pass, and the
+/// four unscheduled simulations.
+#[derive(Default)]
+pub struct MeasureOpts<'a> {
+    /// Micro-architectural parameters (multiplier latencies, BTB,
+    /// mispredict penalty, pipeline model, …) for *both* variants; the
+    /// SPU flag and crossbar are overridden per variant.
+    pub base: MachineConfig,
+    /// Lifting hook (`None` = a fresh [`lift_permutes`] per block count).
+    pub lift: Option<LiftFn<'a>>,
+    /// Also simulate the list-scheduled form of both variants (eight
+    /// runs instead of four). Unset, the `sched_*` fields mirror the
+    /// unscheduled ones (zero deltas, zero moved instructions). Keep it
+    /// unset for non-default `base` parameters: the scheduler's
+    /// acceptance cost model replays the *default* latencies, so its
+    /// never-slower contract is only asserted on default-config
+    /// measurements (DESIGN.md §7).
+    pub scheduled: bool,
+}
 
 /// A fully materialised kernel instance.
 pub struct KernelBuild {
@@ -146,9 +168,9 @@ impl HostNanos {
 /// and after the pairing-aware list scheduler reordered it
 /// ([`Measurement::sched_baseline`]/[`Measurement::sched_spu`]) — the
 /// scheduled-vs-unscheduled delta is the orchestration signal the sweep
-/// reports per kernel. The one-off probes ([`measure`] and friends)
-/// skip the scheduled runs; their `sched_*` fields mirror the
-/// unscheduled ones.
+/// reports per kernel. One-off probes ([`MeasureOpts::default`]) skip
+/// the scheduled runs; their `sched_*` fields mirror the unscheduled
+/// ones.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Measurement {
     /// Kernel name.
@@ -174,8 +196,7 @@ pub struct Measurement {
     /// Host wall-clock spent inside the measurement's simulator runs —
     /// eight (baseline, SPU, and their scheduled forms, at both block
     /// counts), or four when scheduled measurement is disabled
-    /// ([`measure_with_config_opts`]) — the interpreter-throughput
-    /// signal.
+    /// ([`MeasureOpts::scheduled`]) — the interpreter-throughput signal.
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired (deterministic, so it
     /// participates in equality).
@@ -186,7 +207,7 @@ pub struct Measurement {
 /// counter sets; [`Measurement`] and [`MeasurementRecord`] both delegate
 /// here.
 mod metrics {
-    use super::{PaperRow, SimStats};
+    use super::SimStats;
 
     pub fn speedup(base: &SimStats, spu: &SimStats) -> f64 {
         base.cycles as f64 / spu.cycles.max(1) as f64
@@ -206,10 +227,6 @@ mod metrics {
 
     pub fn pct_total_instr(base: &SimStats, spu: &SimStats) -> f64 {
         100.0 * offloaded_per_block(base, spu) as f64 / base.instructions.max(1) as f64
-    }
-
-    pub fn paper_scale(base: &SimStats, paper: &PaperRow) -> f64 {
-        paper.clocks / base.cycles.max(1) as f64
     }
 }
 
@@ -239,12 +256,6 @@ impl Measurement {
     /// "Total Instr".
     pub fn pct_total_instr(&self) -> f64 {
         metrics::pct_total_instr(&self.baseline.per_block, &self.spu.per_block)
-    }
-
-    /// Scale factor to print per-block numbers at the paper's magnitude
-    /// (the paper ran ~10^10 clocks per benchmark).
-    pub fn paper_scale(&self, paper: &PaperRow) -> f64 {
-        metrics::paper_scale(&self.baseline.per_block, paper)
     }
 
     /// Host-side simulator throughput: simulated instructions retired per
@@ -361,9 +372,10 @@ impl MeasurementRecord {
         metrics::pct_total_instr(&self.baseline_per_block, &self.spu_per_block)
     }
 
-    /// Scale factor to print per-block numbers at the paper's magnitude.
+    /// Scale factor to print per-block numbers at the paper's magnitude
+    /// (the paper ran ~10^10 clocks per benchmark).
     pub fn paper_scale(&self, paper: &PaperRow) -> f64 {
-        metrics::paper_scale(&self.baseline_per_block, paper)
+        paper.clocks / self.baseline_per_block.cycles.max(1) as f64
     }
 
     /// Host-side simulator throughput: simulated instructions retired per
@@ -395,209 +407,126 @@ impl MeasurementRecord {
     }
 }
 
-/// Run one variant at one block count, checking outputs. The returned
-/// nanoseconds cover only [`Machine::run`] — not machine construction,
-/// state initialisation or the golden check — so they are a pure
+/// Run `program` at one block count of `build` (its initial state and
+/// golden outputs), checking outputs. The returned nanoseconds cover
+/// only [`Machine::run`] — not machine construction, state
+/// initialisation or the golden check — so they are a pure
 /// interpreter-throughput signal.
 fn run_checked(
+    program: &Program,
     build: &KernelBuild,
-    cfg: MachineConfig,
+    cfg: &MachineConfig,
     label: &str,
 ) -> Result<(SimStats, u64), String> {
-    let mut m = Machine::new(cfg);
-    for (addr, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*addr, bytes).map_err(|_| format!("{label}: init oob"))?;
-    }
-    for (r, v) in &build.setup.reg_init {
-        m.regs.write_gp(*r, *v);
-    }
-    for (r, v) in &build.setup.mm_init {
-        m.regs.write_mm(*r, *v);
-    }
+    let mut m = Machine::new(cfg.clone());
+    build.setup.apply(&mut m).map_err(|_| format!("{label}: init oob"))?;
     let t = std::time::Instant::now();
-    let stats = m.run(&build.program).map_err(|e| format!("{label}: {e}"))?;
+    let stats = m.run(program).map_err(|e| format!("{label}: {e}"))?;
     let nanos = t.elapsed().as_nanos() as u64;
     build.check(&m, label)?;
     Ok((stats, nanos))
 }
 
+/// Per-block steady state: every counter of a two-run difference
+/// divided by the block-count difference.
+fn per_block(d: SimStats, nblocks: u64) -> SimStats {
+    let mut d = d;
+    for field in [
+        &mut d.cycles,
+        &mut d.instructions,
+        &mut d.mmx_instructions,
+        &mut d.scalar_instructions,
+        &mut d.mmx_realignments,
+        &mut d.mmx_multiplies,
+        &mut d.scalar_multiplies,
+        &mut d.branches,
+        &mut d.mispredicts,
+        &mut d.mispredict_cycles,
+        &mut d.stall_cycles,
+        &mut d.imul_block_cycles,
+        &mut d.pairs,
+        &mut d.singles,
+        &mut d.mmx_pairs,
+        &mut d.mmx_active_cycles,
+        &mut d.loads,
+        &mut d.stores,
+        &mut d.spu_routed,
+        &mut d.spu_steps,
+        &mut d.spu_activations,
+        &mut d.mmio_accesses,
+    ] {
+        *field /= nblocks;
+    }
+    d
+}
+
 /// Measure a kernel with the paper's methodology: baseline and SPU
-/// variants at two block counts; steady-state = difference. Runs a fresh
-/// lifting pass per block count; see [`measure_with`] to plug in a
-/// compiled-program cache.
+/// variants at two block counts; steady-state = difference. `opts`
+/// picks the machine, the lifting hook and whether the list-scheduled
+/// forms are simulated too; every run's golden outputs are checked.
 pub fn measure(
     kernel: &dyn Kernel,
     blocks_small: u64,
     blocks_large: u64,
     shape: &CrossbarShape,
-) -> Result<Measurement, String> {
-    measure_with(kernel, blocks_small, blocks_large, shape, &|program, shape| {
-        lift_permutes(program, shape).map_err(|e| e.to_string())
-    })
-}
-
-/// [`measure`] with an injectable lifting hook: `lift` is called once per
-/// block-count variant and may serve compiled artifacts from a cache
-/// instead of re-running the pass.
-pub fn measure_with(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    lift: LiftFn<'_>,
-) -> Result<Measurement, String> {
-    measure_with_config(kernel, blocks_small, blocks_large, shape, &MachineConfig::default(), lift)
-}
-
-/// [`measure_with`] on a non-default machine: `base` supplies the
-/// micro-architectural parameters (multiplier latencies, BTB, mispredict
-/// penalty, …) for *both* variants; the SPU flag and crossbar are
-/// overridden per variant.
-///
-/// Like the other one-off probes ([`measure`], [`measure_with`]) this
-/// runs the paper-faithful four simulations only; the `sched_*` fields
-/// mirror the unscheduled ones. Scheduled measurement — on by default
-/// in the sweep layer — is opted into via
-/// [`measure_with_config_opts`].
-pub fn measure_with_config(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    base: &MachineConfig,
-    lift: LiftFn<'_>,
-) -> Result<Measurement, String> {
-    measure_with_config_opts(kernel, blocks_small, blocks_large, shape, base, lift, false)
-}
-
-/// [`measure_with_config`] with the scheduled measurements optional —
-/// the full entry point the sweep layer drives. With
-/// `measure_scheduled` set, the list-scheduled form of both variants is
-/// simulated too (eight runs per measurement); unset, those four runs
-/// are skipped and the `sched_*` fields mirror the unscheduled ones
-/// (zero deltas, zero moved instructions). Keep it unset for
-/// non-default `base` machine parameters: the scheduler's acceptance
-/// cost model replays the *default* latencies, so its never-slower
-/// contract is only asserted on default-config measurements
-/// (DESIGN.md §7).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_with_config_opts(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    base: &MachineConfig,
-    lift: LiftFn<'_>,
-    measure_scheduled: bool,
+    opts: &MeasureOpts<'_>,
 ) -> Result<Measurement, String> {
     assert!(blocks_small < blocks_large);
-    let mmx_cfg = MachineConfig { spu_fitted: false, ..base.clone() };
-    let spu_cfg = MachineConfig { spu_fitted: true, crossbar: *shape, ..base.clone() };
+    let fresh = |program: &Program, shape: &CrossbarShape| {
+        lift_permutes(program, shape).map_err(|e| e.to_string())
+    };
+    let lift: LiftFn<'_> = opts.lift.unwrap_or(&fresh);
+    let mmx_cfg = MachineConfig { spu_fitted: false, ..opts.base.clone() };
+    let spu_cfg = MachineConfig { spu_fitted: true, crossbar: *shape, ..opts.base.clone() };
     let b_small = kernel.build(blocks_small);
     let b_large = kernel.build(blocks_large);
 
-    let (base_small, t_bs) = run_checked(&b_small, mmx_cfg.clone(), "baseline/small")?;
-    let (base_large, t_bl) = run_checked(&b_large, mmx_cfg.clone(), "baseline/large")?;
-
-    // The list-scheduled baseline: same program, regions reordered for
-    // dual-issue; golden outputs re-checked on every run.
-    let rebuilt = |program: Program, of: &KernelBuild| KernelBuild {
-        program,
-        setup: of.setup.clone(),
-        expected: of.expected.clone(),
+    // One variant: its programs at both block counts, differenced.
+    let mut wall_nanos = 0;
+    let mut sim_instructions = 0;
+    let mut variant = |small: &Program, large: &Program, cfg: &MachineConfig, label: &str| {
+        let (s, t_s) = run_checked(small, &b_small, cfg, &format!("{label}/small"))?;
+        let (l, t_l) = run_checked(large, &b_large, cfg, &format!("{label}/large"))?;
+        wall_nanos += t_s + t_l;
+        sim_instructions += s.instructions + l.instructions;
+        let per_block = per_block(l - s, blocks_large - blocks_small);
+        Ok::<_, String>(VariantStats { per_block, total: l })
     };
-    let ((sched_base_small, t_sbs), (sched_base_large, t_sbl), sched_base_moved) =
-        if measure_scheduled {
-            let (sb_prog_small, _) = schedule_program(&b_small.program);
-            let (sb_prog_large, sb_report) = schedule_program(&b_large.program);
-            (
-                run_checked(&rebuilt(sb_prog_small, &b_small), mmx_cfg.clone(), "sched-base/s")?,
-                run_checked(&rebuilt(sb_prog_large, &b_large), mmx_cfg, "sched-base/l")?,
-                sb_report.moved as u64,
-            )
-        } else {
-            ((base_small, 0), (base_large, 0), 0)
-        };
 
+    let baseline = variant(&b_small.program, &b_large.program, &mmx_cfg, "baseline")?;
     let lifted_small = lift(&b_small.program, shape)?;
     let lifted_large = lift(&b_large.program, shape)?;
-    let spu_build_small = rebuilt(lifted_small.program, &b_small);
-    let spu_build_large = rebuilt(lifted_large.program, &b_large);
-    let (spu_small, t_ss) = run_checked(&spu_build_small, spu_cfg.clone(), "spu/small")?;
-    let (spu_large, t_sl) = run_checked(&spu_build_large, spu_cfg.clone(), "spu/large")?;
+    let spu = variant(&lifted_small.program, &lifted_large.program, &spu_cfg, "spu")?;
 
-    // The scheduled SPU variant the lifting pass carries alongside the
-    // plain one (loop bodies reordered, SPU routes permuted to match).
-    let ((sched_spu_small, t_xs), (sched_spu_large, t_xl), sched_moved) = if measure_scheduled {
-        let small = rebuilt(lifted_small.scheduled.program, &b_small);
-        let large = rebuilt(lifted_large.scheduled.program, &b_large);
+    // The list-scheduled forms: the baseline with its regions reordered
+    // for dual-issue, and the scheduled SPU variant the lifting pass
+    // carries alongside the plain one (loop bodies reordered, SPU routes
+    // permuted to match).
+    let (sched_baseline, sched_spu, sched_moved) = if opts.scheduled {
+        let (sb_small, _) = schedule_program(&b_small.program);
+        let (sb_large, sb_report) = schedule_program(&b_large.program);
+        let (ss_small, ss_large) = (&lifted_small.scheduled, &lifted_large.scheduled);
         (
-            run_checked(&small, spu_cfg.clone(), "sched-spu/small")?,
-            run_checked(&large, spu_cfg, "sched-spu/large")?,
-            (sched_base_moved, lifted_large.scheduled.moved as u64),
+            variant(&sb_small, &sb_large, &mmx_cfg, "sched-base")?,
+            variant(&ss_small.program, &ss_large.program, &spu_cfg, "sched-spu")?,
+            (sb_report.moved as u64, ss_large.moved as u64),
         )
     } else {
-        ((spu_small, 0), (spu_large, 0), (0, 0))
-    };
-
-    let nblocks = blocks_large - blocks_small;
-    let scale = |s: SimStats| {
-        let mut d = s;
-        d.cycles /= nblocks;
-        d.instructions /= nblocks;
-        d.mmx_instructions /= nblocks;
-        d.scalar_instructions /= nblocks;
-        d.mmx_realignments /= nblocks;
-        d.mmx_multiplies /= nblocks;
-        d.scalar_multiplies /= nblocks;
-        d.branches /= nblocks;
-        d.mispredicts /= nblocks;
-        d.mispredict_cycles /= nblocks;
-        d.stall_cycles /= nblocks;
-        d.imul_block_cycles /= nblocks;
-        d.pairs /= nblocks;
-        d.singles /= nblocks;
-        d.mmx_pairs /= nblocks;
-        d.mmx_active_cycles /= nblocks;
-        d.loads /= nblocks;
-        d.stores /= nblocks;
-        d.spu_routed /= nblocks;
-        d.spu_steps /= nblocks;
-        d.spu_activations /= nblocks;
-        d.mmio_accesses /= nblocks;
-        d
+        (baseline, spu, (0, 0))
     };
 
     Ok(Measurement {
         name: kernel.name(),
         family: kernel.family(),
-        baseline: VariantStats { per_block: scale(base_large - base_small), total: base_large },
-        spu: VariantStats { per_block: scale(spu_large - spu_small), total: spu_large },
-        sched_baseline: VariantStats {
-            per_block: scale(sched_base_large - sched_base_small),
-            total: sched_base_large,
-        },
-        sched_spu: VariantStats {
-            per_block: scale(sched_spu_large - sched_spu_small),
-            total: sched_spu_large,
-        },
+        baseline,
+        spu,
+        sched_baseline,
+        sched_spu,
         sched_moved,
         report: lifted_large.report,
         blocks: (blocks_small, blocks_large),
-        wall_nanos: HostNanos(t_bs + t_bl + t_sbs + t_sbl + t_ss + t_sl + t_xs + t_xl),
-        sim_instructions: {
-            let mut n = base_small.instructions
-                + base_large.instructions
-                + spu_small.instructions
-                + spu_large.instructions;
-            if measure_scheduled {
-                n += sched_base_small.instructions
-                    + sched_base_large.instructions
-                    + sched_spu_small.instructions
-                    + sched_spu_large.instructions;
-            }
-            n
-        },
+        wall_nanos: HostNanos(wall_nanos),
+        sim_instructions,
     })
 }
 
@@ -659,7 +588,7 @@ mod tests {
         assert!((m.pct_total_instr() - 100.0 * 150.0 / 1600.0).abs() < 1e-9);
         // Paper scaling produces the published clock magnitude.
         let row = crate::paper::paper_row("DCT").unwrap();
-        let scale = m.paper_scale(row);
+        let scale = m.record().paper_scale(row);
         assert!((1000.0 * scale - row.clocks).abs() / row.clocks < 1e-12);
     }
 

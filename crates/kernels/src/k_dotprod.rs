@@ -94,7 +94,7 @@ impl Kernel for DotProd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
+    use crate::framework::{measure, MeasureOpts};
     use subword_sim::{Machine, MachineConfig};
     use subword_spu::{SHAPE_A, SHAPE_D};
 
@@ -102,21 +102,19 @@ mod tests {
     fn mmx_variant_matches_reference() {
         let build = DotProd.build(1);
         let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
+        build.setup.apply(&mut m).unwrap();
         m.run(&build.program).unwrap();
         build.check(&m, "dotprod").unwrap();
     }
 
     #[test]
     fn measured_speedup_and_offload() {
-        let meas = measure(&DotProd, 2, 6, &SHAPE_A).unwrap();
+        let meas = measure(&DotProd, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // Four realignments per group lift.
         assert_eq!(meas.offloaded_per_block(), 4 * GROUPS as u64);
         assert!(meas.speedup() > 1.05, "dot product should speed up, got {:.3}", meas.speedup());
         // Shape D suffices (paper §5.1).
-        let meas_d = measure(&DotProd, 2, 6, &SHAPE_D).unwrap();
+        let meas_d = measure(&DotProd, 2, 6, &SHAPE_D, &MeasureOpts::default()).unwrap();
         assert_eq!(meas_d.offloaded_per_block(), 4 * GROUPS as u64);
     }
 }

@@ -47,8 +47,7 @@ pub mod suite;
 pub mod workload;
 
 pub use framework::{
-    measure, measure_with, Kernel, KernelBuild, LiftFn, Measurement, MeasurementRecord,
-    VariantStats,
+    measure, Kernel, KernelBuild, LiftFn, MeasureOpts, Measurement, MeasurementRecord, VariantStats,
 };
 pub use paper::PaperRow;
 pub use suite::{all_suites, family_suite, paper_suite, pixel_suite, Family, SuiteEntry};

@@ -14,7 +14,7 @@
 //!
 //! The paper's §5.1: *"All the applications used in this paper can be
 //! realized with configuration D"* — verified by this reproduction's
-//! `ablation_shapes` harness.
+//! shape ablation (`paper ablation`).
 //!
 //! Routing is represented canonically at byte granularity
 //! ([`ByteRoute`]: eight source-byte selectors into the 64-byte file);

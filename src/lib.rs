@@ -44,10 +44,10 @@
 //! assert!(prog.validate(&SHAPE_D).is_ok()); // fits the smallest crossbar
 //! ```
 //!
-//! Reproduce the evaluation with the harness binaries:
+//! Reproduce the evaluation with the `paper` binary:
 //!
 //! ```text
-//! cargo run --release -p subword-bench --bin all
+//! cargo run --release -p subword-bench --bin paper
 //! ```
 
 pub use subword_compile as compile;
